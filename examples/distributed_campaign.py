@@ -1,24 +1,22 @@
 #!/usr/bin/env python3
-"""A distributed campaign: TCP coordinator + two worker processes,
-then the same sweep through an embedded queue broker.
+"""A distributed campaign: an embedded queue broker + two worker processes.
 
 The campaign scheduler compiles the case studies into task-graph nodes
 whose points are serialisable tuples; a
-:class:`~repro.core.transport.SocketTransport` streams those points to
-``ddt-explore worker`` processes over TCP instead of a local pool, and
-a :class:`~repro.core.broker.QueueTransport` decouples the workers from
-the coordinator entirely (they pull from a broker and may join or leave
-mid-campaign).  This example runs the whole loop on one machine:
+:class:`~repro.core.broker.QueueTransport` leases those points through
+a campaign broker to ``ddt-explore worker --connect-broker`` processes
+instead of a local pool.  Workers pull from the broker, so they are
+decoupled from the coordinator entirely and may join or leave
+mid-campaign.  This example runs the whole loop on one machine:
 
-1. bind a coordinator on an ephemeral localhost port;
-2. spawn two worker subprocesses pointed at it (workers retry the
-   connection, so start order does not matter);
-3. run a narrow URL campaign through the coordinator;
+1. embed a broker on an ephemeral localhost port;
+2. spawn two worker subprocesses with unequal capacities (1 vs 3
+   parallel slots) pointed at it (workers retry the connection, so
+   start order does not matter);
+3. run a narrow URL campaign through the broker;
 4. verify the records equal a serial run on ``content_key()`` -- the
    distribution layer may change *where* points run, never the results;
-5. repeat through an embedded queue broker with unequal worker
-   capacities (1 vs 3 parallel slots) and print the measured
-   capacity-weighted dispatch.
+5. print the measured capacity-weighted dispatch.
 
 Run with::
 
@@ -30,14 +28,12 @@ import subprocess
 import sys
 import tempfile
 
-from repro import CampaignScheduler, QueueTransport, SocketTransport, case_study
+from repro import CampaignScheduler, QueueTransport, case_study
 
 CANDIDATES = ("AR", "SLL", "DLL(O)", "SLL(AR)")
 
 
-def spawn_worker(
-    address: str, worker_id: str, *extra: str, broker: bool = False
-) -> subprocess.Popen:
+def spawn_worker(address: str, worker_id: str, *extra: str) -> subprocess.Popen:
     env = dict(os.environ)
     env["PYTHONPATH"] = "src" + os.pathsep + env.get("PYTHONPATH", "")
     return subprocess.Popen(
@@ -46,7 +42,7 @@ def spawn_worker(
             "-m",
             "repro.tools.explore",
             "worker",
-            "--connect-broker" if broker else "--connect",
+            "--connect-broker",
             address,
             "--id",
             worker_id,
@@ -65,9 +61,12 @@ def main() -> None:
     ) as campaign:
         serial = campaign.run()
 
-    transport = SocketTransport(("127.0.0.1", 0), worker_timeout=60)
-    print(f"coordinator listening on {transport.address}")
-    workers = [spawn_worker(transport.address, f"worker-{i}") for i in range(2)]
+    transport = QueueTransport(worker_timeout=60)
+    print(f"campaign broker at {transport.address}")
+    workers = [
+        spawn_worker(transport.address, "small", "--capacity", "1"),
+        spawn_worker(transport.address, "big", "--capacity", "3"),
+    ]
 
     with tempfile.TemporaryDirectory() as store_dir:
         with CampaignScheduler(
@@ -79,7 +78,7 @@ def main() -> None:
         ) as campaign:
             distributed = campaign.run()
 
-    # Closing the scheduler sent the shutdown frame; workers exit cleanly.
+    # Closing the scheduler concluded the campaign; workers exit cleanly.
     for worker in workers:
         worker.wait(timeout=30)
 
@@ -93,31 +92,7 @@ def main() -> None:
         f"({transport.requeues} requeued, "
         f"quarantined: {distributed.quarantined or 'none'})"
     )
-
-    # The same sweep through an embedded queue broker: workers pull at
-    # capacity-weighted rates and could join/leave mid-campaign.
-    queue_transport = QueueTransport(worker_timeout=60)
-    print(f"\ncampaign broker at {queue_transport.address}")
-    queue_workers = [
-        spawn_worker(queue_transport.address, "small", "--capacity", "1",
-                     broker=True),
-        spawn_worker(queue_transport.address, "big", "--capacity", "3",
-                     broker=True),
-    ]
-    with CampaignScheduler(
-        studies=["url"],
-        candidates=CANDIDATES,
-        configs=configs,
-        transport=queue_transport,
-    ) as campaign:
-        queued = campaign.run()
-    for worker in queue_workers:
-        worker.wait(timeout=30)
-
-    c = [r.content_key() for r in queued.refinements["URL"].step2.log]
-    assert a == c, "the broker must not change results either"
-    print(f"{len(c)} step-2 records bit-identical through the broker")
-    for worker_id, stats in sorted(queued.worker_stats.items()):
+    for worker_id, stats in sorted(distributed.worker_stats.items()):
         print(
             f"  {worker_id}: capacity {stats['capacity']}, "
             f"{stats['points']} points at {stats['throughput']:.1f}/s "

@@ -1,44 +1,36 @@
 """Queue-backed campaign transport: an embedded broker + elastic workers.
 
-PR 4's :class:`~repro.core.transport.SocketTransport` distributes
-campaigns, but couples every worker's lifetime to one TCP connection
-held by the coordinator process: a worker exists exactly as long as its
-socket, and the coordinator must be reachable before any worker can do
-anything.  This module decouples them with a small, dependency-free
-**broker** -- Redis-like queue semantics over the same length-prefixed
-pickle frames PR 4 introduced:
+The one remote transport of the exploration engine.  A small,
+dependency-free **broker** gives Redis-like queue semantics over the
+length-prefixed pickle frames of :mod:`repro.core.transport`, so a
+worker's lifetime is decoupled from the coordinator's:
 
 * :class:`EmbeddedBroker` -- a threaded TCP server holding named FIFO
   queues (campaign tasks), per-campaign result queues with
-  **duplicate-result rejection by token**, a key-value table (the
-  campaign announcement: pickled :class:`~repro.core.engine.EnvSpec`
-  plus queue names), and a **worker registry with heartbeat TTLs**.  A
-  worker that stops heartbeating (or whose connection drops) has its
-  leased tasks requeued at the front of the task queue and its crash
-  counted; repeat offenders are quarantined exactly like the socket
-  coordinator's accounting.
+  **duplicate-result rejection by token**, a key-value table, a
+  registry of announced campaigns (each with its pickled
+  :class:`~repro.core.engine.EnvSpec`), and a **worker registry with
+  heartbeat TTLs**.  A worker that stops heartbeating (or whose
+  connection drops) has its leased points requeued at the front of the
+  task queue and its crash counted; repeat offenders are quarantined.
 * :class:`QueueTransport` -- a
   :class:`~repro.core.transport.WorkerTransport` implemented *against*
   a broker instead of against worker connections.  The coordinator
-  pushes task frames and pops result frames; workers pull.  Workers can
+  pushes chunk items and pops result frames; workers pull.  Workers can
   therefore join, leave, and rejoin mid-campaign without the
   coordinator noticing anything beyond throughput.
 * :func:`serve_queue_worker` -- the worker loop behind ``ddt-explore
   worker --connect-broker``.  Each worker advertises a **capacity** in
   its hello (parallel simulation slots, cores, relative speed); it
-  keeps up to ``quota`` tasks leased, where the quota starts at the
+  keeps up to ``quota`` points leased, where the quota starts at the
   advertised capacity and is **refined by the coordinator from measured
   per-worker throughput** (written back through the broker's key-value
   table and picked up via heartbeat replies).  A worker with
-  ``capacity > 1`` runs its leased points on a local process pool, so a
-  4-core box genuinely completes ~4x the points of a 1-core box.
+  ``capacity > 1`` runs its leased points on a local process pool.
 
-Dispatch is thus capacity-weighted by construction -- a pull model
-where each worker's lease quota is its weight -- and the measured
-per-worker throughput is persisted in the campaign manifest's
-``node_costs`` (under the reserved ``__fleet__`` key, see
-:mod:`repro.core.campaign`), making the adaptive longest-first schedule
-worker-aware across campaigns: the next run seeds each returning
+The measured per-worker throughput is persisted in the campaign
+manifest's ``node_costs`` (under the reserved ``__fleet__`` key, see
+:mod:`repro.core.campaign`), so the next run seeds each returning
 worker's quota from its recorded throughput.
 
 Determinism is untouched: results are slotted by submission token, the
@@ -46,34 +38,29 @@ broker deduplicates tokens (a requeued point that completes twice is
 delivered once), and a record is a pure function of ``(application,
 config, assignment)`` -- so queue-transport campaigns are bit-identical
 on ``SimulationRecord.content_key()`` to serial runs (asserted by
-``tests/test_broker.py`` and CI's ``queue-smoke`` job).
+``tests/test_broker.py`` and CI's smoke jobs).
 
-PR 6 promotes the broker from an embed to a **standing service**: pass
-``journal=DIR`` (CLI: ``ddt-explore broker --journal DIR``) and every
-state-changing op is appended to a :class:`~repro.core.journal.Journal`
-write-ahead log before it is applied, with periodic compaction into a
-snapshot.  A restarted broker replays snapshot+log, requeues any
-journaled leases and unacknowledged deliveries at the queue front, and
-resumes -- combined with :class:`BrokerClient`'s transparent reconnect
-(capped exponential backoff + jitter, bounded by ``max_outage_s``) a
-broker kill/restart mid-campaign is invisible to the coordinator and
-the fleet (asserted by ``tests/support/faults.py``'s broker-restart
-drill and CI's ``restart-smoke`` job).
+**Durability.**  With ``journal=DIR`` (CLI: ``ddt-explore broker
+--journal DIR``) every state-changing op is appended to a
+:class:`~repro.core.journal.Journal` write-ahead log before it is
+applied, with periodic compaction into a snapshot.  A restarted broker
+replays snapshot+log, requeues any journaled leases and unacknowledged
+deliveries at the queue front, and resumes -- combined with
+:class:`BrokerClient`'s transparent reconnect (capped exponential
+backoff + jitter, bounded by ``max_outage_s``) a broker kill/restart
+mid-campaign is invisible to the coordinator and the fleet.
 
-This PR makes the broker **multi-tenant**: campaigns are *announced*
-onto a standing broker (``announce`` / ``conclude`` / ``withdraw`` ops,
-all journaled) and live side by side in a per-campaign namespace --
-task/result queues, seen-token sets, and quota refinements are all
-keyed by campaign id, so one tenant can never drain or poison
-another's state.  Workers subscribe to the *broker*, not a campaign:
-``take_any`` leases chunks across every running campaign under
-**deficit round-robin** fair scheduling, weighted by each campaign's
-announced ``--priority``.  A campaign is a job submitted to the
-cluster; coordinators register on start and tear down (conclude, then
-withdraw) on close without disturbing their neighbours.
+**Multi-tenancy.**  Campaigns are *announced* onto a broker
+(``announce`` / ``conclude`` / ``withdraw`` ops, all journaled) and
+live side by side in a per-campaign namespace -- task/result queues,
+seen-token sets, and quota refinements are all keyed by campaign id,
+so one tenant can never drain or poison another's state.  Workers
+subscribe to the *broker*, not a campaign: ``take_any`` leases chunks
+across every running campaign under **deficit round-robin** fair
+scheduling, weighted by each campaign's announced ``--priority``.
 
-Like the socket transport, frames are pickle: expose the broker only to
-**trusted workers on a trusted network**.
+Frames are pickle: expose the broker only to **trusted workers on a
+trusted network**.
 """
 
 from __future__ import annotations
@@ -93,14 +80,12 @@ from repro.core.journal import RECORD_VERSION, Journal, JournalWarning
 from repro.core.results import SimulationRecord
 from repro.core.simulate import run_simulation
 from repro.core.transport import (
-    CAP_CHUNKS,
     WORKER_CRASH_EXIT,
     WORKER_REJECTED_EXIT,
     ChunkTask,
     FrameConnectionError,
     TransportError,
     WorkerTransport,
-    _connect_with_retry,
     parse_address,
     recv_frame,
     send_frame,
@@ -117,10 +102,6 @@ __all__ = [
 ]
 
 #: Broker wire-protocol version; clients and broker must agree exactly.
-#: Chunked dispatch (PR 7) is an *additive* change -- chunk items carry
-#: a ``points`` list, takes accept ``max``/list acks, hellos may list
-#: ``caps`` in their meta -- so the version stays at 1 and pre-chunk
-#: clients still interoperate.
 BROKER_PROTOCOL = 1
 
 #: Sequence for campaign ids minted by :meth:`QueueTransport.start`.
@@ -149,18 +130,30 @@ def _mint_campaign_id() -> str:
     )
 
 
-def _item_points(item: Any) -> int:
-    """Number of exploration points one queue item carries.
+def _item_points(item: Mapping[str, Any]) -> int:
+    """Number of exploration points one chunk item carries (what the
+    point-granular ``requeues`` count and the DRR deficit charge)."""
+    return len(item["points"])
 
-    A chunk item (``{"token", "points": [...]}``) counts its block; a
-    legacy flat point item counts 1.  Drives the point-granular
-    ``requeues`` accounting the fault drills assert on.
-    """
-    if isinstance(item, dict):
-        points = item.get("points")
-        if isinstance(points, (list, tuple)):
-            return len(points)
-    return 1
+
+def _connect_with_retry(address: tuple[str, int], retry_s: float) -> socket.socket:
+    """Connect to the broker, retrying for up to ``retry_s`` seconds."""
+    deadline = time.monotonic() + retry_s
+    while True:
+        try:
+            sock = socket.create_connection(address, timeout=10.0)
+            # The connect timeout must not linger: an idle client (e.g.
+            # a worker waiting for the next announcement) would
+            # otherwise die on recv.
+            sock.settimeout(None)
+            return sock
+        except OSError as exc:
+            if time.monotonic() >= deadline:
+                raise TransportError(
+                    f"could not reach broker at {address[0]}:{address[1]} "
+                    f"within {retry_s:.0f}s: {exc}"
+                ) from exc
+            time.sleep(0.2)
 
 
 class BrokerUnavailableError(TransportError):
@@ -321,8 +314,9 @@ class EmbeddedBroker:
                 self._restore_snapshot_locked(snapshot)
             for version, entry in records:
                 try:
-                    for upgraded in self._upgrade_entry_locked(version, entry):
-                        self._apply_locked(upgraded, journal=False)
+                    if version != RECORD_VERSION:
+                        raise ValueError(f"unsupported record version {version}")
+                    self._apply_locked(entry, journal=False)
                 except Exception as exc:  # a damaged entry ends the replay
                     warnings.warn(
                         f"journal replay stopped on {entry!r}: {exc!r}",
@@ -336,35 +330,6 @@ class EmbeddedBroker:
                 # the (re-connecting) fleet picks it up again.
                 self._apply_locked(("recover",))
             self._journal.compact(self._snapshot_locked())
-
-    def _upgrade_entry_locked(self, version: int, entry: tuple) -> list[tuple]:
-        """Translate one journal record to the current reducer schema.
-
-        Version >= 2 records pass through untouched.  Version 1 records
-        predate multi-tenancy, where the ``campaign``/``state`` KV keys
-        *were* the (single) campaign registry -- so the KV writes that
-        used to carry campaign lifecycle are expanded into the explicit
-        lifecycle ops, against whatever campaigns the replay has
-        registered so far (at most one, by v1 construction).
-        """
-        if version >= 2:
-            return [entry]
-        op = entry[0]
-        if op == "set":
-            _, key, value = entry
-            if key == "campaign" and value is None:
-                return [entry] + [("withdraw", cid) for cid in list(self._campaigns)]
-            if key == "campaign" and isinstance(value, Mapping) and value.get("id"):
-                return [entry, ("announce", dict(value), {})]
-            if key == "state" and value == "done":
-                return [entry] + [("conclude", cid) for cid in list(self._campaigns)]
-            if key.startswith("quota:") and self._campaigns:
-                worker = key[len("quota:"):]
-                return [
-                    ("set", f"quota:{cid}:{worker}", value)
-                    for cid in list(self._campaigns)
-                ]
-        return [entry]
 
     def _snapshot_locked(self) -> dict[str, Any]:
         return {
@@ -387,25 +352,9 @@ class EmbeddedBroker:
         }
         self._seen = {name: set(s) for name, s in (snapshot.get("seen") or {}).items()}
         self._kv = dict(snapshot.get("kv") or {})
-        campaigns = snapshot.get("campaigns")
-        if campaigns is None:
-            # Pre-multi-tenant snapshot: the single campaign lived in
-            # the KV table.  Synthesize its registry entry so a v1
-            # journal directory resumes as a one-tenant broker.
-            campaigns = {}
-            legacy = self._kv.get("campaign")
-            if isinstance(legacy, Mapping) and legacy.get("id"):
-                cid = str(legacy["id"])
-                campaigns[cid] = {
-                    **dict(legacy),
-                    "tasks": legacy.get("tasks") or f"tasks:{cid}",
-                    "results": legacy.get("results") or f"results:{cid}",
-                    "priority": 1.0,
-                    "state": (
-                        "done" if self._kv.get("state") == "done" else "running"
-                    ),
-                }
-        self._campaigns = {cid: dict(c) for cid, c in campaigns.items()}
+        self._campaigns = {
+            cid: dict(c) for cid, c in (snapshot.get("campaigns") or {}).items()
+        }
         self._leases = {w: dict(l) for w, l in (snapshot.get("leases") or {}).items()}
         self._delivered = {
             q: dict(d) for q, d in (snapshot.get("delivered") or {}).items()
@@ -457,9 +406,12 @@ class EmbeddedBroker:
             self._conns.clear()
             self._cond.notify_all()
         try:
-            self._listener.close()
+            # shutdown() wakes the accept() blocked in ddt-broker-accept;
+            # a bare close() leaves it blocked until the join times out.
+            self._listener.shutdown(socket.SHUT_RDWR)
         except OSError:
             pass
+        self._listener.close()
         for conn in conns:
             try:
                 conn.close()
@@ -478,12 +430,10 @@ class EmbeddedBroker:
         The standalone broker's signal handlers call this before
         :meth:`close`, so a worker launched after a *deliberate*
         shutdown waits for the next campaign instead of reading a stale
-        one from the journal.  The legacy ``campaign`` KV entry is
-        cleared too, for pre-multi-tenant readers.
+        one from the journal.
         """
         with self._cond:
             if not self._closed:
-                self._apply_locked(("set", "campaign", None))
                 for cid in list(self._campaigns):
                     self._apply_locked(("withdraw", cid))
                 self._cond.notify_all()
@@ -509,16 +459,15 @@ class EmbeddedBroker:
 
     def _sweep_loop(self) -> None:
         interval = max(0.02, min(0.25, self.heartbeat_ttl / 5.0))
-        while True:
-            with self._cond:
-                if self._closed:
-                    return
+        with self._cond:
+            while not self._closed:
                 now = time.monotonic()
                 for worker_id in [
                     w for w, e in self._workers.items() if e.expires_at < now
                 ]:
                     self._fail_worker_locked(worker_id)
-            time.sleep(interval)
+                # close() notifies the condition, so this wakes at once.
+                self._cond.wait(interval)
 
     def _requeue_leases_locked(self, worker_id: str, count: bool) -> None:
         """Hand a departing worker's leased tasks back, at the queue front.
@@ -576,39 +525,25 @@ class EmbeddedBroker:
             del self._kv[key]
 
     def _release_lease_point_locked(self, worker_id: str, token: Any) -> None:
-        """Release one completed point from a worker's leases.
+        """Strip one completed point out of a worker's chunk lease.
 
-        A legacy per-point lease (item token == point token) is dropped
-        whole.  A chunk lease has the finished point **stripped from its
-        item** instead -- this runs inside the journaled ``result``
-        reducer, so both the live broker and a journal replay agree
-        point-for-point on what a lease still owes: a crash (or broker
-        restart) after a half-acked chunk requeues only the unfinished
-        points, and the ``seen`` dedup set makes any overlap harmless.
+        This runs inside the journaled ``result`` reducer, so both the
+        live broker and a journal replay agree point-for-point on what a
+        lease still owes: a crash (or broker restart) after a half-acked
+        chunk requeues only the unfinished points, and the ``seen``
+        dedup set makes any overlap harmless.
         """
-        lease_map = self._leases.get(worker_id)
-        times = self._lease_times.get(worker_id, {})
-        if lease_map:
-            if token in lease_map:
-                lease_map.pop(token, None)
-                times.pop(token, None)
-                return
-            for lease_token, (queue_name, item) in list(lease_map.items()):
-                points = item.get("points") if isinstance(item, dict) else None
-                if not points:
-                    continue
-                if any(point.get("token") == token for point in points):
-                    rest = [p for p in points if p.get("token") != token]
-                    if rest:
-                        lease_map[lease_token] = (
-                            queue_name,
-                            {**item, "points": rest},
-                        )
-                    else:
-                        lease_map.pop(lease_token, None)
-                        times.pop(lease_token, None)
-                    return
-        times.pop(token, None)
+        lease_map = self._leases.get(worker_id) or {}
+        for lease_token, (queue_name, item) in list(lease_map.items()):
+            rest = [p for p in item["points"] if p.get("token") != token]
+            if len(rest) == len(item["points"]):
+                continue
+            if rest:
+                lease_map[lease_token] = (queue_name, {**item, "points": rest})
+            else:
+                lease_map.pop(lease_token)
+                self._lease_times.get(worker_id, {}).pop(lease_token, None)
+            return
 
     def _fail_worker_locked(self, worker_id: str) -> None:
         """Presume one worker crashed: requeue leases, count the crash."""
@@ -643,18 +578,18 @@ class EmbeddedBroker:
             return None
         if op == "take":
             _, queue_name, worker_id, ack, leased = entry
-            if ack is not None:
-                # Batched coordinator takes acknowledge a list of
-                # deliveries at once; a scalar ack is the legacy form.
-                acks = ack if isinstance(ack, (list, tuple)) else (ack,)
-                delivered = self._delivered.get(queue_name, {})
-                for acked in acks:
-                    delivered.pop(acked, None)
+            # Coordinator takes acknowledge a list of earlier deliveries.
+            delivered = self._delivered.get(queue_name, {})
+            for acked in ack or ():
+                delivered.pop(acked, None)
             queue = self._queues.get(queue_name)
             item = queue.popleft() if queue else None
             if item is not None:
                 token = item.get("token") if isinstance(item, dict) else None
-                if leased and worker_id is not None and token is not None:
+                # Only chunk items are leased: requeue accounting and
+                # lease stripping read their ``points``.
+                chunk = token is not None and isinstance(item.get("points"), list)
+                if leased and worker_id is not None and chunk:
                     self._leases.setdefault(worker_id, {})[token] = (queue_name, item)
                     self._lease_times.setdefault(worker_id, {})[token] = (
                         time.monotonic()
@@ -714,39 +649,6 @@ class EmbeddedBroker:
                 self._clear_campaign_locked(
                     cid, campaign["tasks"], campaign["results"]
                 )
-            return None
-        if op == "reset":
-            # Legacy (record v1) single-tenant campaign open: the old
-            # broker cleared *everything* on reset, so a v1 journal
-            # replay must too -- the live ``reset`` op now announces
-            # into a namespace instead (see :meth:`_op_reset`).
-            _, campaign, quotas = entry
-            self._queues.clear()
-            self._seen.clear()
-            self._leases.clear()
-            self._lease_times.clear()
-            self._delivered.clear()
-            self._campaigns.clear()
-            self._drr_deficit.clear()
-            self._drr_current = None
-            for key in [k for k in self._kv if k.startswith("quota:")]:
-                del self._kv[key]
-            self._kv["campaign"] = campaign
-            self._kv["state"] = "running"
-            if isinstance(campaign, Mapping) and campaign.get("id"):
-                cid = str(campaign["id"])
-                self._campaigns[cid] = {
-                    **dict(campaign),
-                    "tasks": str(campaign.get("tasks") or f"tasks:{cid}"),
-                    "results": str(campaign.get("results") or f"results:{cid}"),
-                    "priority": 1.0,
-                    "state": "running",
-                }
-                for worker_id, quota in dict(quotas or {}).items():
-                    self._kv[f"quota:{cid}:{worker_id}"] = quota
-            else:
-                for worker_id, quota in dict(quotas or {}).items():
-                    self._kv[f"quota:{worker_id}"] = quota
             return None
         if op == "drop":
             _, worker_id, clean = entry
@@ -834,14 +736,6 @@ class EmbeddedBroker:
     # ------------------------------------------------------------------
     # ops (each runs on the connection thread, state under the lock)
     # ------------------------------------------------------------------
-    def _state_locked(self) -> Any:
-        """Aggregate campaign state for single-tenant-era reply fields:
-        ``"done"`` only once *every* registered campaign concluded."""
-        if self._campaigns:
-            states = {str(c.get("state")) for c in self._campaigns.values()}
-            return "done" if states == {"done"} else "running"
-        return self._kv.get("state")
-
     def _running_locked(self) -> dict[str, dict[str, Any]]:
         return {
             cid: c
@@ -851,17 +745,14 @@ class EmbeddedBroker:
 
     def _quota_locked(self, worker_id: str) -> Any:
         """A worker's lease quota: the max over running campaigns'
-        namespaced refinements (a worker serving two tenants needs the
-        headroom of the more generous one), with the pre-namespace key
-        as a legacy fallback."""
-        quotas = []
-        for cid in self._running_locked():
-            value = self._kv.get(f"quota:{cid}:{worker_id}")
-            if value is not None:
-                quotas.append(value)
-        if quotas:
-            return max(quotas)
-        return self._kv.get(f"quota:{worker_id}")
+        refinements (a worker serving two tenants needs the headroom of
+        the more generous one); ``None`` while nobody refined it."""
+        quotas = [
+            self._kv[key]
+            for key in (f"quota:{cid}:{worker_id}" for cid in self._running_locked())
+            if self._kv.get(key) is not None
+        ]
+        return max(quotas, default=None)
 
     def _leased_points_locked(self) -> dict[str, int]:
         """Points currently leased, per campaign tasks queue."""
@@ -983,13 +874,7 @@ class EmbeddedBroker:
                         if item is None:
                             break
                         items.append(item)
-                    reply = {
-                        "ok": True,
-                        "item": items[0] if items else None,
-                        "state": self._state_locked(),
-                    }
-                    if batch > 1:
-                        reply["items"] = items
+                    reply = {"ok": True, "items": items}
                 else:
                     remaining = deadline - time.monotonic()
                     if remaining <= 0:
@@ -999,7 +884,7 @@ class EmbeddedBroker:
                             self._apply_locked(
                                 ("take", queue_name, worker_id, ack, False)
                             )
-                        reply = {"ok": True, "item": None, "state": self._state_locked()}
+                        reply = {"ok": True, "items": []}
                     else:
                         self._cond.wait(min(remaining, 0.2))
                         continue
@@ -1049,18 +934,11 @@ class EmbeddedBroker:
                             "item": item,
                             "campaign": cid,
                             "results": campaign["results"],
-                            "state": campaign.get("state"),
                             "running": len(running),
                         }
                 remaining = deadline - time.monotonic()
                 if remaining <= 0:
-                    return {
-                        "ok": True,
-                        "item": None,
-                        "campaign": None,
-                        "state": self._state_locked(),
-                        "running": len(running),
-                    }
+                    return {"ok": True, "item": None, "running": len(running)}
                 self._cond.wait(min(remaining, 0.2))
 
     def _op_campaigns(self, message: Mapping[str, Any], conn: Any) -> dict[str, Any]:
@@ -1141,38 +1019,15 @@ class EmbeddedBroker:
             )
             if not dup:
                 self._cond.notify_all()
-            return {"ok": True, "dup": bool(dup), "state": self._state_locked()}
+            return {"ok": True, "dup": bool(dup)}
 
     def _op_get(self, message: Mapping[str, Any], conn: Any) -> dict[str, Any]:
         with self._cond:
-            return {
-                "ok": True,
-                "value": self._kv.get(str(message.get("key"))),
-                "state": self._state_locked(),
-            }
+            return {"ok": True, "value": self._kv.get(str(message.get("key")))}
 
     def _op_set(self, message: Mapping[str, Any], conn: Any) -> dict[str, Any]:
         with self._cond:
             self._apply_locked(("set", str(message.get("key")), message.get("value")))
-            self._cond.notify_all()
-            return {"ok": True}
-
-    def _op_reset(self, message: Mapping[str, Any], conn: Any) -> dict[str, Any]:
-        """Open a campaign: fresh queues, seen-sets and leases.
-
-        Historically this wiped the *whole* broker -- under two tenants,
-        campaign B's start would destroy campaign A's announcement and
-        quota refinements.  It now scopes to the resetting campaign's
-        own namespace (the ``announce`` reducer clears exactly the
-        namespace being opened), so quota refinements still die with the
-        campaign that measured them without collateral damage.
-        """
-        campaign = message.get("campaign")
-        with self._cond:
-            if isinstance(campaign, Mapping) and campaign.get("id"):
-                self._apply_locked(
-                    ("announce", dict(campaign), dict(message.get("quotas") or {}))
-                )
             self._cond.notify_all()
             return {"ok": True}
 
@@ -1200,7 +1055,6 @@ class EmbeddedBroker:
             "ok": True,
             "ttl": self.heartbeat_ttl,
             "quota": self._quota_locked(worker_id),
-            "state": self._state_locked(),
             "running": len(self._running_locked()),
         }
 
@@ -1232,13 +1086,12 @@ class EmbeddedBroker:
 
     def _op_fleet(self, message: Mapping[str, Any], conn: Any) -> dict[str, Any]:
         with self._cond:
-            return {"ok": True, "fleet": self._fleet_locked(), "state": self._state_locked()}
+            return {"ok": True, "fleet": self._fleet_locked()}
 
     def _op_status(self, message: Mapping[str, Any], conn: Any) -> dict[str, Any]:
         """One JSON-safe snapshot of broker health for ``--status``."""
         now = time.monotonic()
         with self._cond:
-            campaign = self._kv.get("campaign")
             leases: dict[str, dict[str, Any]] = {}
             for worker_id, held in self._leases.items():
                 if not held:
@@ -1262,18 +1115,9 @@ class EmbeddedBroker:
                 }
                 for cid, c in self._campaigns.items()
             }
-            single = (
-                str(campaign.get("id"))
-                if isinstance(campaign, Mapping)
-                else None
-            )
-            if single is None and len(self._campaigns) == 1:
-                single = str(next(iter(self._campaigns)))
             status: dict[str, Any] = {
                 "proto": BROKER_PROTOCOL,
                 "uptime_s": round(now - self._started_at, 3),
-                "state": self._state_locked(),
-                "campaign": single,
                 "campaigns": campaigns,
                 "queues": {
                     str(n): len(q) for n, q in self._queues.items() if q
@@ -1335,7 +1179,7 @@ class BrokerClient:
         self.reconnects = 0
         #: duration of the most recent survived outage, seconds.
         self.last_outage_s = 0.0
-        self._sock = _connect_with_retry((host, port), retry_s, what="broker")
+        self._sock = _connect_with_retry((host, port), retry_s)
         self._lock = threading.Lock()
 
     def call(self, op: str, **fields: Any) -> dict[str, Any]:
@@ -1443,15 +1287,13 @@ class QueueTransport(WorkerTransport):
         brokers).
     worker_timeout:
         Seconds to wait with work outstanding but **zero** live workers
-        before failing the run -- same semantics as the socket
-        transport's coordinator.  Distinct from a *broker outage*: an
+        before failing the run.  Distinct from a *broker outage*: an
         unreachable broker is waited out with backoff (``max_outage_s``)
         and never starts the starvation clock.
     max_outage_s:
         Longest broker outage the coordinator rides out by
         reconnecting (60s by default; the broker-restart drill relies
-        on it).  ``0`` fails the campaign on the first lost call, as
-        before PR 6.
+        on it).  ``0`` fails the campaign on the first lost call.
     on_outage:
         Optional callback invoked with a one-line message after each
         survived outage -- the campaign CLI routes it to stderr so
@@ -1472,11 +1314,10 @@ class QueueTransport(WorkerTransport):
         neighbour while both have work queued.  Must be > 0; 1.0 (the
         default) shares equally.
 
-    Mirrors the socket transport's observability surface --
-    :attr:`crashes`, :attr:`requeues`, :attr:`workers_seen`,
-    :attr:`results_received`, :attr:`quarantined` -- so the shared
-    fault-injection drills of ``tests/support/faults.py`` run against
-    either transport unchanged.
+    Observability: :attr:`crashes`, :attr:`requeues`,
+    :attr:`workers_seen`, :attr:`results_received` and
+    :attr:`quarantined` mirror the broker's fleet accounting -- what the
+    fault-injection drills of ``tests/support/faults.py`` assert on.
     """
 
     def __init__(
@@ -1677,10 +1518,7 @@ class QueueTransport(WorkerTransport):
             # from here on is the new un-acked frontier.
             self._pending_acks = []
             self._absorb_fleet(reply.get("fleet"))
-            items = reply.get("items")
-            if items is None:
-                item = reply.get("item")
-                items = [] if item is None else [item]
+            items = reply["items"]
             if not items:
                 self._check_starvation(reply.get("fleet"))
                 continue
@@ -1987,12 +1825,11 @@ def serve_queue_worker(
     a worker that crashes and rejoins answers its already-completed
     points from disk.
 
-    ``fail_after=N`` is the fault-injection hook shared with the socket
-    worker: hard-exit (:data:`~repro.core.transport.WORKER_CRASH_EXIT`,
-    no goodbye) upon **leasing** the N-th point -- the lease is provably
-    held when the crash happens, so the broker's requeue machinery is
-    always exercised (the socket worker crashes after *sending* N
-    results instead; its coordinator keeps extra points in flight).
+    ``fail_after=N`` is the fault-injection hook: hard-exit
+    (:data:`~repro.core.transport.WORKER_CRASH_EXIT`, no goodbye) upon
+    **leasing** the N-th point -- the lease is provably held when the
+    crash happens, so the broker's requeue machinery is always
+    exercised.
 
     A broker restart is ridden out transparently: the client reconnects
     with backoff for up to ``max_outage_s`` seconds (the worker's
@@ -2023,7 +1860,6 @@ def serve_queue_worker(
         "speed": float(speed),
         "cores": os.cpu_count() or 1,
         "pid": os.getpid(),
-        "caps": [CAP_CHUNKS],
     }
 
     def rehello(reconnected: BrokerClient) -> None:
@@ -2153,11 +1989,8 @@ def serve_queue_worker(
                     continue
                 results_q = ctx["results"]
                 store = ctx["store"]
-                # A chunk item carries a block of points under one
-                # lease; a legacy flat item is a one-point block.
-                points = item.get("points")
-                if points is None:
-                    points = [item]
+                # A chunk item carries a block of points under one lease.
+                points = item["points"]
                 taken += len(points)
                 if fail_after is not None and taken >= fail_after:
                     # ``--fail-after`` counts *points leased*, never

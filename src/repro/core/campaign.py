@@ -33,21 +33,18 @@ cache and resimulates only the delta, reported per app by
 :attr:`CampaignResult.incremental`.
 
 **Distributed campaigns**: pass a
-:class:`~repro.core.transport.SocketTransport` (or ``ddt-explore
-campaign --transport socket``) and the same task-graph nodes are
-streamed to ``ddt-explore worker`` processes over TCP instead of a
-local pool; the shared trace store is the artifact layer workers
-hydrate from.  Crashed workers' unresolved points are resubmitted to
-the survivors and repeat offenders are reported on
-:attr:`CampaignResult.quarantined`.  The manifest additionally records
-each node's wall cost, and the next campaign enqueues step-1 nodes
-longest-first so the worker fleet drains evenly (adaptive scheduling;
-ordering never changes the records, which stay slotted by point index).
-
-**Elastic campaigns**: a :class:`~repro.core.broker.QueueTransport`
-(or ``--transport queue``) decouples workers from the coordinator
-through an embedded broker -- workers pull tasks and push results, so
-they can join, leave and rejoin mid-campaign.  Each worker advertises a
+:class:`~repro.core.broker.QueueTransport` (or ``ddt-explore campaign
+--transport queue``) and the same task-graph nodes are leased through
+an embedded or standing broker to ``ddt-explore worker
+--connect-broker`` processes instead of a local pool; the shared trace
+store is the artifact layer workers hydrate from.  Workers pull tasks
+and push results, so they can join, leave and rejoin mid-campaign.
+Crashed workers' unresolved points are requeued to the survivors and
+repeat offenders are reported on :attr:`CampaignResult.quarantined`.
+The manifest additionally records each node's wall cost, and the next
+campaign enqueues step-1 nodes longest-first so the worker fleet drains
+evenly (adaptive scheduling; ordering never changes the records, which
+stay slotted by point index).  Each worker advertises a
 capacity in its hello and dispatch is weighted by it (lease quotas),
 refined by measured per-worker throughput.  Those measurements are
 written into the manifest's ``node_costs`` under the reserved
@@ -185,7 +182,7 @@ class CampaignResult:
     worker_stats:
         Measured per-worker dispatch records of a capacity-tracking
         transport (``{worker: {capacity, points, throughput, quota,
-        ...}}``; empty for serial, local-pool and socket runs) -- the
+        ...}}``; empty for serial and local-pool runs) -- the
         observable face of capacity-weighted dispatch, also persisted
         in the manifest's ``node_costs`` fleet entry.
     broker_outages:
@@ -304,8 +301,8 @@ class CampaignScheduler:
     transport:
         Optional :class:`~repro.core.transport.WorkerTransport`
         forwarded to the owned engine -- a
-        :class:`~repro.core.transport.SocketTransport` turns the
-        campaign into a distributed coordinator.  Mutually exclusive
+        :class:`~repro.core.broker.QueueTransport` turns the campaign
+        into a distributed coordinator.  Mutually exclusive
         with ``engine`` (give the transport to your own engine instead).
     engine:
         Bring-your-own engine; the scheduler then owns neither the pool

@@ -23,9 +23,10 @@ Records are versioned: entries written at :data:`RECORD_VERSION` >= 2
 are wrapped in a ``{"v": version, "entry": entry}`` envelope on disk,
 while pre-versioning logs hold bare entries.  :meth:`Journal.load`
 normalises both shapes to ``(version, entry)`` pairs -- bare records
-load as version 1 -- so the replaying reducer can upgrade legacy
-operations in place and an old journal directory keeps working after
-an on-disk schema change.  Every ``compact_every`` appends the caller is expected to
+load as version 1 -- so a replaying broker can tell a record of a
+schema it does not speak from a current one, and stops its replay there
+with a :class:`JournalWarning`.  Every ``compact_every`` appends the
+caller is expected to
 fold the log into a fresh snapshot via :meth:`Journal.compact`, which
 writes the snapshot atomically (tmp + rename) before truncating the
 log, so a crash between the two steps only ever *re-replays* entries,
@@ -181,7 +182,7 @@ class Journal:
 
         ``version`` stamps the record's schema: >= 2 writes the
         versioned envelope, <= 1 writes the legacy bare entry (used by
-        tests exercising old-journal replay).
+        tests exercising replay of a foreign record version).
         """
         record = {"v": version, "entry": entry} if version >= 2 else entry
         blob = pickle.dumps(record, protocol=pickle.HIGHEST_PROTOCOL)

@@ -14,9 +14,8 @@ wall-clock.  This module replaces the barrier with a small task graph:
   :class:`~repro.core.engine.ExplorationEngine` -- serially in FIFO
   order with ``workers=0``, or interleaved across the engine's single
   :class:`~repro.core.transport.WorkerTransport` otherwise (the local
-  process pool by default, a TCP worker fleet with a
-  :class:`~repro.core.transport.SocketTransport`, an elastic broker-
-  decoupled fleet with a :class:`~repro.core.broker.QueueTransport`),
+  process pool by default, an elastic broker-decoupled fleet with a
+  :class:`~repro.core.broker.QueueTransport`),
   so a fast application's step-2 grid simulates concurrently with a
   slow application's step-1 sweep.
 
@@ -432,9 +431,8 @@ class TaskGraph:
             for token, record in transport.next_results():
                 entry = slots.pop(token, None)
                 if entry is None:
-                    # Duplicate delivery after a requeue race (the queue
-                    # broker already deduplicates by token; the socket
-                    # coordinator can still re-deliver across a reconnect).
+                    # Duplicate delivery after a requeue race (the broker
+                    # deduplicates by token; this guards any transport).
                     continue
                 node, index = entry
                 self._slot(

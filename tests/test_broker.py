@@ -4,9 +4,8 @@ The broker decouples worker lifetime from the coordinator: workers pull
 tasks and push results through Redis-like queues, heartbeat with a TTL,
 and may join, leave and rejoin mid-campaign.  None of that may show in
 the results -- every drill gates on ``SimulationRecord.content_key()``
-parity with the serial baseline, and the crash/quarantine drills are
-the same toolkit drills the socket transport runs
-(``tests/support/faults.py``).
+parity with the serial baseline; the crash/quarantine drills live in
+``tests/support/faults.py``.
 """
 
 import json
@@ -38,7 +37,16 @@ from repro.core.broker import (
 from repro.core.campaign import FLEET_KEY, CampaignScheduler
 from repro.core.engine import EnvSpec
 from repro.core.simulate import SimulationEnvironment
-from repro.core.transport import TransportError, parse_address
+from repro.core.transport import (
+    ChunkTask,
+    LocalPoolTransport,
+    TransportError,
+    parse_address,
+)
+
+
+#: One URL point (the task shape every transport ships).
+URL_TASK = (UrlApp, "Whittemore", {}, {"url_pattern": "AR", "connection": "SLL"})
 
 
 @pytest.fixture()
@@ -69,30 +77,41 @@ class TestBrokerProtocol:
         for token in (1, 2, 3):
             client.call("put", queue="q", item={"token": token})
         order = [
-            client.call("take", queue="q", timeout=0.1)["item"]["token"]
+            client.call("take", queue="q", timeout=0.1)["items"][0]["token"]
             for _ in range(3)
         ]
         assert order == [1, 2, 3]
-        assert client.call("take", queue="q", timeout=0.05)["item"] is None
+        assert client.call("take", queue="q", timeout=0.05)["items"] == []
 
     def test_heartbeat_ttl_expiry_requeues_leases_at_front(self, client):
         """A silent worker's leased task goes back to the queue head."""
-        client.call("put", queue="q", item={"token": "leased"})
-        client.call("put", queue="q", item={"token": "second"})
+        client.call("put", queue="q", item=self._chunk("leased", 1))
+        client.call("put", queue="q", item=self._chunk("second", 1))
         hello = client.call(
             "hello", proto=BROKER_PROTOCOL, worker="silent", meta={"capacity": 1}
         )
         assert hello["ok"] and hello["ttl"] == pytest.approx(0.25)
         taken = client.call("take", queue="q", worker="silent", timeout=0.1)
-        assert taken["item"]["token"] == "leased"
+        assert taken["items"][0]["token"] == "leased"
         time.sleep(0.6)  # > TTL: the sweeper presumes a crash
         fleet = client.call("fleet")["fleet"]
         assert "silent" not in fleet["live"]
         assert fleet["crashes"] == {"silent": 1}
         assert fleet["requeues"] == 1
         # requeued at the *front*, ahead of the untaken task
-        assert client.call("take", queue="q", timeout=0.1)["item"]["token"] == "leased"
-        assert client.call("take", queue="q", timeout=0.1)["item"]["token"] == "second"
+        for expected in ("leased", "second"):
+            taken = client.call("take", queue="q", timeout=0.1)
+            assert taken["items"][0]["token"] == expected
+
+    def test_only_chunk_items_are_leased(self, client):
+        """A non-chunk item a worker takes is delivered but never leased,
+        so lease accounting (status, requeue, stripping) only sees
+        chunks -- a malformed item cannot wedge a connection."""
+        client.call("put", queue="q", item={"token": "flat"})
+        client.call("hello", proto=BROKER_PROTOCOL, worker="w", meta={})
+        taken = client.call("take", queue="q", worker="w", timeout=0.1)
+        assert taken["items"] == [{"token": "flat"}]
+        assert client.call("status")["status"]["leases"] == {}
 
     def test_heartbeat_refreshes_and_rearms_ttl(self, client):
         client.call("hello", proto=BROKER_PROTOCOL, worker="beater", meta={})
@@ -224,8 +243,8 @@ class TestBrokerProtocol:
         )
         assert first["dup"] is False
         assert dup["dup"] is True
-        assert client.call("take", queue="res", timeout=0.1)["item"]["token"] == 7
-        assert client.call("take", queue="res", timeout=0.05)["item"] is None
+        assert client.call("take", queue="res", timeout=0.1)["items"][0]["token"] == 7
+        assert client.call("take", queue="res", timeout=0.05)["items"] == []
         assert client.call("fleet")["fleet"]["dup_results"] == 1
 
     def test_quarantined_worker_is_rejected_everywhere(self, broker, client):
@@ -278,7 +297,7 @@ class TestQueueTransportLifecycle:
         transport = QueueTransport()
         try:
             with pytest.raises(TransportError, match="not started"):
-                transport.submit(0, (UrlApp, "Whittemore", {}, {}))
+                transport.submit_chunk(0, ChunkTask.of([(0, URL_TASK)]))
         finally:
             transport.close()
 
@@ -287,19 +306,15 @@ class TestQueueTransportLifecycle:
         transport.close()
         transport.close()
         with pytest.raises(TransportError, match="closed"):
-            transport.submit(0, (UrlApp, "Whittemore", {}, {}))
+            transport.submit_chunk(0, ChunkTask.of([(0, URL_TASK)]))
 
     def test_no_workers_times_out(self):
         transport = QueueTransport(worker_timeout=0.5)
         try:
             transport.start(EnvSpec.from_env(SimulationEnvironment()))
-            transport.submit(
-                0,
-                (UrlApp, "Whittemore", {},
-                 {"url_pattern": "AR", "connection": "SLL"}),
-            )
+            transport.submit_chunk(0, ChunkTask.of([(0, URL_TASK)]))
             with pytest.raises(TransportError, match="no workers"):
-                transport.next_result()
+                transport.next_results()
         finally:
             transport.close()
 
@@ -328,7 +343,7 @@ class TestQueueTransportLifecycle:
         try:
             transport.start(EnvSpec.from_env(SimulationEnvironment()))
             with pytest.raises(TransportError, match="no outstanding"):
-                transport.next_result()
+                transport.next_results()
         finally:
             transport.close()
 
@@ -382,7 +397,7 @@ class TestElasticFleet:
         nothing but throughput -- results match serial on content keys.
         """
         transport = QueueTransport(worker_timeout=60, heartbeat_ttl=5.0)
-        early = spawn_worker(transport.address, "early", mode="queue")
+        early = spawn_worker(transport.address, "early")
         late_box = []
         mid_campaign = threading.Event()
         done_points = [0]
@@ -397,7 +412,7 @@ class TestElasticFleet:
             if not mid_campaign.wait(120):
                 return
             early.kill()  # leaves without a goodbye
-            late_box.append(spawn_worker(transport.address, "late", mode="queue"))
+            late_box.append(spawn_worker(transport.address, "late"))
 
         stagehand = threading.Thread(target=choreography, daemon=True)
         stagehand.start()
@@ -425,16 +440,16 @@ class TestElasticFleet:
 
 
 # ----------------------------------------------------------------------
-# fault injection through the shared drills (same as the socket runs)
+# fault injection through the shared drills
 # ----------------------------------------------------------------------
 class TestQueueFaultInjection:
     def test_crashed_workers_points_are_requeued(self, serial_campaign):
         transport = QueueTransport(worker_timeout=60, heartbeat_ttl=5.0)
-        crash_requeue_drill(transport, serial_campaign, mode="queue")
+        crash_requeue_drill(transport, serial_campaign)
 
     def test_twice_crashing_worker_is_quarantined(self, serial_campaign):
         transport = QueueTransport(worker_timeout=60, heartbeat_ttl=5.0)
-        quarantine_drill(transport, serial_campaign, mode="queue")
+        quarantine_drill(transport, serial_campaign)
 
 
 # ----------------------------------------------------------------------
@@ -519,8 +534,8 @@ class TestCapacityWeightedDispatch:
         cache_dir = tmp_path / "cache"
         transport = QueueTransport(worker_timeout=60, heartbeat_ttl=5.0)
         workers = [
-            spawn_worker(transport.address, "small", mode="queue", capacity=1),
-            spawn_worker(transport.address, "big", mode="queue", capacity=3),
+            spawn_worker(transport.address, "small", capacity=1),
+            spawn_worker(transport.address, "big", capacity=3),
         ]
         try:
             with CampaignScheduler(
@@ -570,3 +585,42 @@ class TestCapacityWeightedDispatch:
             assert follow_up._previous_fleet() == stats
         finally:
             follow_up.close()
+
+
+# ----------------------------------------------------------------------
+# bounded lifecycle: every component closes promptly
+# ----------------------------------------------------------------------
+class TestBoundedClose:
+    """Regression: closing the listener alone left the ``accept()`` in
+    ``ddt-broker-accept`` blocked, so every ``EmbeddedBroker.close()``
+    ran its thread-join timeout (5 s) to the end."""
+
+    @staticmethod
+    def _close_s(component):
+        began = time.monotonic()
+        component.close()
+        return time.monotonic() - began
+
+    @pytest.mark.parametrize("journaled", [False, True])
+    def test_embedded_broker_closes_promptly(self, tmp_path, journaled):
+        broker = EmbeddedBroker(journal=str(tmp_path) if journaled else None)
+        broker.start()
+        client = BrokerClient(broker.address)
+        try:
+            assert client.call("ping")["ok"]  # the accept loop is serving
+        finally:
+            client.close()
+        assert self._close_s(broker) < 1.0
+        assert not any(thread.is_alive() for thread in broker._threads)
+
+    def test_owned_broker_queue_transport_closes_promptly(self):
+        transport = QueueTransport()
+        transport.start(EnvSpec.from_env(SimulationEnvironment()))
+        assert self._close_s(transport) < 1.0
+
+    def test_local_pool_transport_closes_promptly(self):
+        transport = LocalPoolTransport(workers=1)
+        transport.start(EnvSpec.from_env(SimulationEnvironment()))
+        transport.submit_chunk(0, ChunkTask.of([(0, URL_TASK)]))
+        assert [token for token, _ in transport.next_results()] == [0]
+        assert self._close_s(transport) < 1.0

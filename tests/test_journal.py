@@ -1,14 +1,13 @@
 """Durability tests: the broker journal, replay, reconnect, clean shutdown.
 
-PR 6 promotes the embedded broker from an in-memory convenience to a
-durable service: every state change is journaled to a write-ahead log
-before it is applied, a restarted broker replays snapshot + log and
-resumes, and clients ride out the restart by reconnecting.  These tests
-cover the journal file format edge cases (torn tails, corrupt
-snapshots, compaction), broker-level replay semantics (FIFO order,
-lease requeue, un-acked redelivery, duplicate-token rejection across a
-restart), the reconnecting client, and the standalone broker's clean
-SIGINT/SIGTERM shutdown.
+A journaled broker is a durable service: every state change is
+journaled to a write-ahead log before it is applied, a restarted broker
+replays snapshot + log and resumes, and clients ride out the restart
+by reconnecting.  These tests cover the journal file format edge cases
+(torn tails, corrupt snapshots, compaction), broker-level replay
+semantics (FIFO order, lease requeue, un-acked redelivery,
+duplicate-token rejection across a restart), the reconnecting client,
+and the standalone broker's clean SIGINT/SIGTERM shutdown.
 
 The full mid-campaign kill -9 drill lives in ``tests/test_broker.py``
 (``TestBrokerRestart``) on top of ``support.faults.broker_restart_drill``.
@@ -185,6 +184,11 @@ class TestJournalFormat:
 # ----------------------------------------------------------------------
 # broker-level replay semantics
 # ----------------------------------------------------------------------
+def _chunk(token):
+    """A one-point chunk item, the unit workers lease."""
+    return {"token": token, "points": [{"token": token}]}
+
+
 class TestBrokerReplay:
     def test_restart_preserves_fifo_and_rejects_replayed_results(self, tmp_path):
         with EmbeddedBroker(journal=tmp_path) as broker:
@@ -203,7 +207,7 @@ class TestBrokerReplay:
             client = BrokerClient(successor.address)
             try:
                 order = [
-                    client.call("take", queue="q", timeout=0.1)["item"]["token"]
+                    client.call("take", queue="q", timeout=0.1)["items"][0]["token"]
                     for _ in range(3)
                 ]
                 assert order == [1, 2, 3]
@@ -216,61 +220,26 @@ class TestBrokerReplay:
             finally:
                 client.close()
 
-    def test_v1_journal_replays_into_a_registered_campaign(self, tmp_path):
-        """A journal written by the pre-multi-tenant broker (bare
-        version-1 records, global ``reset``/quota/state entries) replays
-        into the namespaced model: the campaign is registered and
-        running, its quota refinements are scoped to it, and ``take_any``
-        serves its legacy task queue."""
+    def test_foreign_record_version_ends_replay_with_warning(self, tmp_path):
+        """A record whose version is not ``RECORD_VERSION`` -- e.g. a
+        bare version-1 entry of the pre-multi-tenant broker -- ends the
+        replay with a :class:`JournalWarning` naming the version, the
+        same path a damaged entry takes: nothing from it (or after it)
+        is applied."""
         writer = Journal(tmp_path)
         writer.load()
-        campaign = {
-            "id": "c1",
-            "tasks": "tasks:c1",
-            "results": "results:c1",
-            "spec": None,
-        }
-        writer.append(("reset", campaign, {"w": 4}), version=1)
-        for i in range(2):
-            writer.append(("put", "tasks:c1", {"token": i}), version=1)
-        writer.append(("set", "quota:w", 6), version=1)
+        writer.append(("put", "q", {"token": "before"}))
+        writer.append(("announce", {"id": "c1"}, {"w": 4}), version=1)
+        writer.append(("put", "q", {"token": "after"}))
         writer.close()
-        with EmbeddedBroker(journal=tmp_path) as broker:
+        with pytest.warns(JournalWarning, match="version 1"):
+            broker = EmbeddedBroker(journal=tmp_path)
+        with broker:
             client = BrokerClient(broker.address)
             try:
-                reply = client.call("campaigns")
-                assert reply["running"] == 1
-                assert reply["campaigns"]["c1"]["state"] == "running"
-                hello = client.call(
-                    "hello", proto=BROKER_PROTOCOL, worker="w", meta={}
-                )
-                # the *later* global refinement won, scoped to c1 now
-                assert hello["quota"] == 6
-                tokens = []
-                for _ in range(2):
-                    take = client.call("take_any", worker="w", timeout=0.1)
-                    assert take["ok"] and take["campaign"] == "c1"
-                    tokens.append(take["item"]["token"])
-                assert tokens == [0, 1]
-            finally:
-                client.close()
-
-    def test_v1_done_state_concludes_replayed_campaigns(self, tmp_path):
-        """The old coordinator signalled the end of a campaign with a
-        global ``state=done`` KV write; on replay that concludes every
-        campaign the journal had announced."""
-        writer = Journal(tmp_path)
-        writer.load()
-        campaign = {"id": "c1", "tasks": "tasks:c1", "results": "results:c1"}
-        writer.append(("reset", campaign, {}), version=1)
-        writer.append(("set", "state", "done"), version=1)
-        writer.close()
-        with EmbeddedBroker(journal=tmp_path) as broker:
-            client = BrokerClient(broker.address)
-            try:
-                reply = client.call("campaigns")
-                assert reply["running"] == 0
-                assert reply["campaigns"]["c1"]["state"] == "done"
+                assert client.call("campaigns")["campaigns"] == {}
+                taken = client.call("take", queue="q", max=4, timeout=0.05)
+                assert [item["token"] for item in taken["items"]] == ["before"]
             finally:
                 client.close()
 
@@ -283,13 +252,13 @@ class TestBrokerReplay:
         broker.start()
         client = BrokerClient(broker.address)
         try:
-            client.call("put", queue="q", item={"token": "leased"})
-            client.call("put", queue="q", item={"token": "second"})
+            for token in ("leased", "second"):
+                client.call("put", queue="q", item=_chunk(token))
             client.call(
                 "hello", proto=BROKER_PROTOCOL, worker="doomed", meta={}
             )
             taken = client.call("take", queue="q", worker="doomed", timeout=0.1)
-            assert taken["item"]["token"] == "leased"
+            assert taken["items"][0]["token"] == "leased"
         finally:
             # broker first: this is the broker dying, not the worker --
             # a client hangup before broker close would be blamed on
@@ -305,7 +274,7 @@ class TestBrokerReplay:
                 order = [
                     client.call(
                         "take", queue="q", worker="survivor", timeout=0.1
-                    )["item"]["token"]
+                    )["items"][0]["token"]
                     for _ in range(2)
                 ]
                 assert order == ["leased", "second"]
@@ -332,7 +301,7 @@ class TestBrokerReplay:
                 "hello", proto=BROKER_PROTOCOL, worker="doomed", meta={}
             )
             taken = client.call("take", queue="q", worker="doomed", timeout=0.1)
-            assert [p["token"] for p in taken["item"]["points"]] == [
+            assert [p["token"] for p in taken["items"][0]["points"]] == [
                 "p0", "p1", "p2",
             ]
             # the first point of the chunk completes and is journaled
@@ -354,7 +323,7 @@ class TestBrokerReplay:
                     "take", queue="q", worker="survivor", timeout=0.1
                 )
                 # only the unfinished remainder of the chunk came back
-                assert [p["token"] for p in again["item"]["points"]] == [
+                assert [p["token"] for p in again["items"][0]["points"]] == [
                     "p1", "p2",
                 ]
                 fleet = client.call("fleet")["fleet"]
@@ -377,23 +346,23 @@ class TestBrokerReplay:
             try:
                 client.call("put", queue="res", item={"token": 1})
                 taken = client.call("take", queue="res", timeout=0.1)
-                assert taken["item"]["token"] == 1  # delivered, never acked
+                assert taken["items"][0]["token"] == 1  # delivered, never acked
             finally:
                 client.close()
         with EmbeddedBroker(journal=tmp_path) as successor:
             client = BrokerClient(successor.address)
             try:
                 again = client.call("take", queue="res", timeout=0.1)
-                assert again["item"]["token"] == 1
+                assert again["items"][0]["token"] == 1
                 # acking clears it: nothing is redelivered a third time
-                empty = client.call("take", queue="res", timeout=0.05, ack=1)
-                assert empty["item"] is None
+                empty = client.call("take", queue="res", timeout=0.05, ack=[1])
+                assert empty["items"] == []
             finally:
                 client.close()
         with EmbeddedBroker(journal=tmp_path) as third:
             client = BrokerClient(third.address)
             try:
-                assert client.call("take", queue="res", timeout=0.05)["item"] is None
+                assert client.call("take", queue="res", timeout=0.05)["items"] == []
             finally:
                 client.close()
 
@@ -424,10 +393,10 @@ class TestBrokerReplay:
             try:
                 tokens = set()
                 while True:
-                    item = client.call("take", queue="q", timeout=0.05)["item"]
-                    if item is None:
+                    items = client.call("take", queue="q", timeout=0.05)["items"]
+                    if not items:
                         break
-                    tokens.add(item["token"])
+                    tokens.add(items[0]["token"])
                 assert tokens == set(range(20)) | set(range(100, 120))
             finally:
                 client.close()
@@ -438,7 +407,7 @@ class TestBrokerReplay:
         try:
             client = BrokerClient(broker.address)
             try:
-                client.call("set", key="campaign", value={"id": "done"})
+                client.call("announce", campaign={"id": "done"}, quotas={})
             finally:
                 client.close()
             broker.drop_announcement()
@@ -447,7 +416,7 @@ class TestBrokerReplay:
         with EmbeddedBroker(journal=tmp_path) as successor:
             client = BrokerClient(successor.address)
             try:
-                assert client.call("get", key="campaign")["value"] is None
+                assert client.call("campaigns")["campaigns"] == {}
             finally:
                 client.close()
 
@@ -455,7 +424,7 @@ class TestBrokerReplay:
         with EmbeddedBroker(journal=tmp_path) as broker:
             client = BrokerClient(broker.address)
             try:
-                client.call("put", queue="q", item={"token": 1})
+                client.call("put", queue="q", item=_chunk(1))
                 client.call(
                     "hello", proto=BROKER_PROTOCOL, worker="w", meta={}
                 )
@@ -505,7 +474,7 @@ class TestBrokerReconnect:
             time.sleep(0.4)  # land the call inside the outage window
             taken = client.call("take", queue="q", timeout=0.2)
             stagehand.join()
-            assert taken["item"]["token"] == 1
+            assert taken["items"][0]["token"] == 1
             assert client.reconnects == 1
             assert client.last_outage_s > 0
         finally:
@@ -582,7 +551,7 @@ class TestStandaloneBrokerProcess:
                     time.sleep(0.05)
             client = BrokerClient(address)
             try:
-                client.call("set", key="campaign", value={"id": "c"})
+                client.call("announce", campaign={"id": "c"}, quotas={})
             finally:
                 client.close()
             proc.send_signal(signum)
@@ -599,7 +568,7 @@ class TestStandaloneBrokerProcess:
         with EmbeddedBroker(journal=tmp_path) as successor:
             client = BrokerClient(successor.address)
             try:
-                assert client.call("get", key="campaign")["value"] is None
+                assert client.call("campaigns")["campaigns"] == {}
             finally:
                 client.close()
 

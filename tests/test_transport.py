@@ -1,15 +1,12 @@
-"""Tests of the pluggable worker transports and the fault harness.
+"""Tests of the wire primitives, the local pool and the worker CLI.
 
-Distribution must be a pure scheduling layer: a socket-transport
-campaign (in-process TCP coordinator + worker subprocesses) produces
-records equal on ``SimulationRecord.content_key()`` to serial and
-local-pool runs -- including under injected worker crashes, which only
-exercise the coordinator's resubmission and quarantine machinery, never
-the results.
+Distribution must be a pure scheduling layer: a queue-transport
+campaign (embedded broker + ``ddt-explore worker --connect-broker``
+subprocesses) produces records equal on ``SimulationRecord.content_key()``
+to serial and local-pool runs.
 
 The fault-injection helpers and drills live in
-``tests/support/faults.py`` (shared with ``tests/test_broker.py``);
-this module runs the PR 4 socket drills through that toolkit unchanged.
+``tests/support/faults.py`` (shared with ``tests/test_broker.py``).
 """
 
 import socket
@@ -21,6 +18,7 @@ import pytest
 from support.faults import (
     CANDIDATES,
     NARROW,
+    assert_app_matches,
     assert_matches,
     crash_requeue_drill,
     quarantine_drill,
@@ -29,6 +27,12 @@ from support.faults import (
 )
 
 from repro.apps import UrlApp
+from repro.core.broker import (
+    BROKER_PROTOCOL,
+    BrokerClient,
+    EmbeddedBroker,
+    QueueTransport,
+)
 from repro.core.campaign import CampaignScheduler
 from repro.core.engine import EnvSpec
 from repro.core.simulate import SimulationEnvironment, run_simulation
@@ -37,11 +41,7 @@ from repro.core.transport import (
     WORKER_REJECTED_EXIT,
     ChunkTask,
     LocalPoolTransport,
-    PointwiseAdapter,
-    SocketTransport,
     TransportError,
-    WorkerTransport,
-    ensure_chunked,
     parse_address,
     recv_frame,
     send_frame,
@@ -49,6 +49,8 @@ from repro.core.transport import (
 from repro.net.config import NetworkConfig
 
 SMALL = NetworkConfig("Whittemore")
+URL_TASK = (UrlApp, SMALL.trace_name, dict(SMALL.app_params),
+            {"url_pattern": "AR", "connection": "SLL"})
 
 
 # ----------------------------------------------------------------------
@@ -101,8 +103,8 @@ class TestLocalPoolTransport:
         transport = LocalPoolTransport(workers=1)
         try:
             transport.start(EnvSpec.from_env(env))
-            transport.submit("tok", task)
-            token, record = transport.next_result()
+            transport.submit_chunk("c0", ChunkTask.of([("tok", task)]))
+            [(token, record)] = transport.next_results()
         finally:
             transport.close()
         direct = run_simulation(UrlApp, SMALL, task[3], env)
@@ -116,12 +118,12 @@ class TestLocalPoolTransport:
     def test_submit_before_start_rejected(self):
         transport = LocalPoolTransport(workers=1)
         with pytest.raises(TransportError, match="not started"):
-            transport.submit(0, (UrlApp, "Whittemore", {}, {}))
+            transport.submit_chunk(0, ChunkTask.of([(0, URL_TASK)]))
 
     def test_next_result_without_work_rejected(self):
         transport = LocalPoolTransport(workers=1)
         with pytest.raises(TransportError, match="no outstanding"):
-            transport.next_result()
+            transport.next_results()
 
     def test_base_fleet_surface_is_inert(self):
         """The default transport tracks no fleet: stats empty, seed no-op."""
@@ -131,77 +133,14 @@ class TestLocalPoolTransport:
         assert transport.worker_stats() == {}
 
 
-class TestSocketTransportLifecycle:
-    def test_address_is_concrete_before_start(self):
-        transport = SocketTransport(("127.0.0.1", 0))
-        host, port = parse_address(transport.address)
-        assert host == "127.0.0.1" and port > 0
-        transport.close()
-
-    def test_close_idempotent_and_submit_after_close_rejected(self):
-        transport = SocketTransport(("127.0.0.1", 0))
-        transport.close()
-        transport.close()
-        with pytest.raises(TransportError, match="closed"):
-            transport.submit(0, (UrlApp, "Whittemore", {}, {}))
-
-    def test_no_workers_times_out(self):
-        transport = SocketTransport(("127.0.0.1", 0), worker_timeout=0.5)
-        try:
-            transport.start(EnvSpec.from_env(SimulationEnvironment()))
-            transport.submit(
-                0,
-                (UrlApp, "Whittemore", {},
-                 {"url_pattern": "AR", "connection": "SLL"}),
-            )
-            with pytest.raises(TransportError, match="no workers"):
-                transport.next_result()
-        finally:
-            transport.close()
-
-    def test_starvation_clock_arms_on_observation_not_wall_clock(self):
-        """Regression: wall time that passes while starvation is not
-        being *observed* (the coordinator was busy elsewhere -- e.g.
-        riding out a broker outage in take backoff) must not count
-        toward ``worker_timeout``.  The first starved observation arms
-        the clock; only ``worker_timeout`` of continuous starvation
-        after that fires."""
-        transport = SocketTransport(("127.0.0.1", 0), worker_timeout=0.3)
-        try:
-            transport.start(EnvSpec.from_env(SimulationEnvironment()))
-            transport.submit(
-                0,
-                (UrlApp, "Whittemore", {},
-                 {"url_pattern": "AR", "connection": "SLL"}),
-            )
-            time.sleep(0.5)  # > worker_timeout, but never observed
-            transport._check_starvation()  # first observation only arms
-            time.sleep(0.4)  # continuously starved past the timeout
-            with pytest.raises(TransportError, match="no workers"):
-                transport._check_starvation()
-        finally:
-            transport.close()
-
-    def test_validation(self):
-        with pytest.raises(ValueError, match="quarantine_after"):
-            SocketTransport(("127.0.0.1", 0), quarantine_after=0)
-        with pytest.raises(ValueError, match="max_inflight"):
-            SocketTransport(("127.0.0.1", 0), max_inflight=0)
-
-
 # ----------------------------------------------------------------------
 # the chunked contract
 # ----------------------------------------------------------------------
-URL_TASK = (UrlApp, SMALL.trace_name, dict(SMALL.app_params),
-            {"url_pattern": "AR", "connection": "SLL"})
-
-
 class TestChunkContract:
     def test_chunk_task_shape(self):
         chunk = ChunkTask.of([(1, URL_TASK), (2, URL_TASK)])
         assert len(chunk) == 2
         assert chunk.tokens == (1, 2)
-        assert ChunkTask.single(7, URL_TASK).tokens == (7,)
         with pytest.raises(ValueError, match="at least one point"):
             ChunkTask(())
 
@@ -224,153 +163,15 @@ class TestChunkContract:
             for _token, record in batch
         )
 
-    def test_pointwise_adapter_peels_chunks(self):
-        """A per-point-only transport runs under the chunked contract."""
-
-        class Legacy(WorkerTransport):
-            def __init__(self):
-                super().__init__()
-                self.submitted = []
-                self.queue = []
-
-            def start(self, spec):
-                self.spec = spec
-
-            def submit(self, token, task):
-                self.submitted.append(token)
-                self.queue.append((token, f"record-{token}"))
-
-            def next_result(self):
-                return self.queue.pop(0)
-
-            def close(self):
-                self.closed = True
-
-        legacy = Legacy()
-        wrapped = ensure_chunked(legacy)
-        assert isinstance(wrapped, PointwiseAdapter)
-        wrapped.submit_chunk("c0", ChunkTask.of([(1, URL_TASK), (2, URL_TASK)]))
-        assert legacy.submitted == [1, 2]
-        assert wrapped.next_results() == [(1, "record-1")]
-        assert wrapped.next_result() == (2, "record-2")
-        # observability falls through to the wrapped transport
-        legacy.quarantined.append("banned")
-        assert wrapped.quarantined == ["banned"]
-        wrapped.close()
-        assert legacy.closed
-        # chunk-native transports pass through unwrapped
-        native = LocalPoolTransport(workers=1)
-        assert ensure_chunked(native) is native
-
-    def test_pointwise_adapter_campaign_matches_serial(self, serial_campaign):
-        """The task graph auto-wraps a legacy transport; parity holds."""
-
-        class PerPointOnly(WorkerTransport):
-            """Chunk-oblivious facade over the local pool."""
-
-            def __init__(self, inner):
-                super().__init__()
-                self.inner = inner
-
-            def start(self, spec):
-                self.inner.start(spec)
-
-            def submit(self, token, task):
-                self.inner.submit(token, task)
-
-            def next_result(self):
-                return self.inner.next_result()
-
-            def close(self):
-                self.inner.close()
-
-        with CampaignScheduler(
-            studies=["url"],
-            candidates=CANDIDATES,
-            configs={"URL": NARROW["URL"]},
-            transport=PerPointOnly(LocalPoolTransport(workers=2)),
-        ) as campaign:
-            result = campaign.run()
-        from support.faults import assert_app_matches
-
-        assert_app_matches(
-            result.refinements["URL"], serial_campaign.refinements["URL"]
-        )
-
-
-class TestNegotiation:
-    """Protocol-version and capability negotiation on the socket."""
-
-    def _handshake(self, transport, proto, caps=None):
-        host, port = parse_address(transport.address)
-        sock = socket.create_connection((host, port), timeout=10)
-        hello = {"type": "hello", "proto": proto, "worker": f"v{proto}-client"}
-        if caps is not None:
-            hello["caps"] = caps
-        send_frame(sock, hello)
-        return sock
-
-    def test_unsupported_protocol_is_hung_up_on(self):
-        transport = SocketTransport(("127.0.0.1", 0), worker_timeout=30)
-        try:
-            transport.start(EnvSpec.from_env(SimulationEnvironment()))
-            sock = self._handshake(transport, proto=99)
-            try:
-                assert recv_frame(sock) is None  # no init: connection closed
-            finally:
-                sock.close()
-        finally:
-            transport.close()
-
-    def test_legacy_v1_worker_gets_per_point_frames(self):
-        """A chunk is peeled into `task` frames for a version-1 hello."""
-        transport = SocketTransport(("127.0.0.1", 0), worker_timeout=30)
-        env = SimulationEnvironment()
-        try:
-            transport.start(EnvSpec.from_env(env))
-            sock = self._handshake(transport, proto=1)  # no caps field
-            try:
-                init = recv_frame(sock)
-                assert init["type"] == "init"
-                assert init["proto"] == 2 and "chunks" in init["caps"]
-                worker_env_ = init["spec"].build()
-
-                transport.submit_chunk(
-                    "c0", ChunkTask.of([(i, URL_TASK) for i in range(3)])
-                )
-                served = 0
-                while served < 3:
-                    frame = recv_frame(sock)
-                    assert frame["type"] == "task"  # never "chunk"
-                    config = NetworkConfig(frame["trace"], frame["params"])
-                    record = run_simulation(
-                        frame["app"], config, frame["assignment"], worker_env_
-                    )
-                    send_frame(
-                        sock,
-                        {"type": "result", "token": frame["token"],
-                         "record": record},
-                    )
-                    served += 1
-                tokens = []
-                while len(tokens) < 3:
-                    tokens.extend(t for t, _ in transport.next_results())
-                assert sorted(tokens) == [0, 1, 2]
-                assert transport.results_received == 3
-            finally:
-                sock.close()
-        finally:
-            transport.close()
-
 
 # ----------------------------------------------------------------------
 # the parity suite (the acceptance matrix)
 # ----------------------------------------------------------------------
-class TestSocketParity:
+class TestQueueParity:
     def test_all_four_apps_match_serial_and_local_pool(
         self, serial_campaign, tmp_path
     ):
-        """Socket == local pool == serial on content keys, all 4 apps."""
+        """Queue == local pool == serial on content keys, all 4 apps."""
         with CampaignScheduler(
             candidates=CANDIDATES,
             configs=NARROW,
@@ -380,7 +181,7 @@ class TestSocketParity:
             pooled = campaign.run()
         assert_matches(pooled, serial_campaign)
 
-        transport = SocketTransport(("127.0.0.1", 0), worker_timeout=60)
+        transport = QueueTransport(worker_timeout=60, heartbeat_ttl=5.0)
         workers = [
             spawn_worker(transport.address, f"parity-{i}") for i in range(2)
         ]
@@ -388,12 +189,12 @@ class TestSocketParity:
             with CampaignScheduler(
                 candidates=CANDIDATES,
                 configs=NARROW,
-                trace_store=tmp_path / "socket-traces",
+                trace_store=tmp_path / "queue-traces",
                 transport=transport,
             ) as campaign:
                 distributed = campaign.run()
-            # closing the scheduler shut the coordinator down; workers
-            # received the shutdown frame and exited cleanly
+            # closing the scheduler concluded the campaign; workers saw
+            # no campaign left running and exited cleanly
             assert [proc.wait(timeout=30) for proc in workers] == [0, 0]
         finally:
             for proc in workers:
@@ -410,6 +211,37 @@ class TestSocketParity:
         assert distributed.trace_counters["generations"] == len(needed)
 
 
+class TestParityGate:
+    """``tests/support/parity_gate.py``: the CI smoke jobs' parity check."""
+
+    def test_matching_and_diverging_outputs(self, tmp_path, capsys):
+        from support.parity_gate import main
+
+        from repro.core.results import ExplorationLog
+
+        env = SimulationEnvironment()
+        records = [
+            run_simulation(UrlApp, SMALL, assignment, env)
+            for assignment in (URL_TASK[3], {"url_pattern": "SLL", "connection": "AR"})
+        ]
+        for name, log in (
+            ("serial", records),
+            ("same", records),
+            ("short", records[:1]),
+        ):
+            (tmp_path / name / "url").mkdir(parents=True)
+            ExplorationLog(log).write_csv(
+                tmp_path / name / "url" / "exploration_log.csv"
+            )
+        serial = str(tmp_path / "serial")
+        assert main([serial, str(tmp_path / "same"), "url"]) == 0
+        assert "url: parity ok, 2 records" in capsys.readouterr().out
+        assert main([serial, str(tmp_path / "short"), "url"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("url:") and "2 vs 1 records" in err
+        assert main([serial]) == 2
+
+
 # ----------------------------------------------------------------------
 # two-tier result cache: worker-local record stores (tier one)
 # ----------------------------------------------------------------------
@@ -423,14 +255,12 @@ class TestWorkerLocalStore:
         ``worker_cache`` (the :class:`EnvSpec` plumbing -- the worker is
         spawned *without* ``--local-cache`` and adopts it); everything
         is simulated and persisted.  Campaign 2 runs a fresh
-        coordinator with no coordinator cache against the same store,
-        this time via the explicit ``--local-cache`` flag: the worker
-        answers every point from disk, so the engine reports zero
+        coordinator and broker with no coordinator cache against the
+        same store, this time via the explicit ``--local-cache`` flag:
+        the worker answers every point from disk, so the engine reports zero
         simulations and all points as worker-tier hits, with results
         still equal to the serial baseline on ``content_key()``.
         """
-        from support.faults import assert_app_matches
-
         store = tmp_path / "store"
         kwargs = {
             "studies": ["url"],
@@ -438,7 +268,7 @@ class TestWorkerLocalStore:
             "configs": {"URL": NARROW["URL"]},
         }
 
-        transport = SocketTransport(("127.0.0.1", 0), worker_timeout=60)
+        transport = QueueTransport(worker_timeout=60, heartbeat_ttl=5.0)
         worker = spawn_worker(transport.address, "warm")
         try:
             with CampaignScheduler(
@@ -456,7 +286,7 @@ class TestWorkerLocalStore:
             cold.refinements["URL"], serial_campaign.refinements["URL"]
         )
 
-        transport = SocketTransport(("127.0.0.1", 0), worker_timeout=60)
+        transport = QueueTransport(worker_timeout=60, heartbeat_ttl=5.0)
         worker = spawn_worker(
             transport.address, "warm", "--local-cache", str(store)
         )
@@ -484,40 +314,58 @@ class TestWorkerLocalStore:
 # fault injection: crashes, resubmission, quarantine (shared drills)
 # ----------------------------------------------------------------------
 class TestFaultInjection:
+    """The shared drills against a caller-owned (standing) broker: the
+    transport tears down only its own campaign, and the crash, requeue
+    and quarantine accounting comes from a broker it does not close.
+    ``tests/test_broker.py`` runs the same drills on an owned broker."""
+
     def test_crashed_workers_points_are_resubmitted(self, serial_campaign):
         """One injected crash: unresolved points land on the survivor."""
-        transport = SocketTransport(("127.0.0.1", 0), worker_timeout=60)
-        crash_requeue_drill(transport, serial_campaign, mode="socket")
+        with EmbeddedBroker(heartbeat_ttl=5.0) as broker:
+            crash_requeue_drill(
+                QueueTransport(broker, worker_timeout=60), serial_campaign
+            )
 
     def test_twice_crashing_worker_is_quarantined(self, serial_campaign):
         """Two crashes quarantine the id; the campaign still completes."""
-        transport = SocketTransport(
-            ("127.0.0.1", 0), worker_timeout=60, quarantine_after=2
-        )
-        quarantine_drill(transport, serial_campaign, mode="socket")
+        with EmbeddedBroker(heartbeat_ttl=5.0, quarantine_after=2) as broker:
+            quarantine_drill(
+                QueueTransport(broker, worker_timeout=60), serial_campaign
+            )
 
     def test_quarantined_id_is_rejected_on_reconnect(self):
-        """A hello from a quarantined id is turned away at the door."""
-        transport = SocketTransport(("127.0.0.1", 0), worker_timeout=60)
-        transport.quarantined.append("banned")
-        try:
-            transport.start(EnvSpec.from_env(SimulationEnvironment()))
-            proc = spawn_worker(transport.address, "banned")
+        """A worker whose id the broker quarantined is turned away at the
+        door: the process exits with the rejected code."""
+        with EmbeddedBroker(quarantine_after=1) as broker:
+            client = BrokerClient(broker.address)
+            try:
+                client.call(
+                    "hello", proto=BROKER_PROTOCOL, worker="banned", meta={}
+                )
+            finally:
+                client.close()  # no goodbye: one presumed crash
+            watcher = BrokerClient(broker.address)
+            try:
+                deadline = time.monotonic() + 10
+                while "banned" not in watcher.call("fleet")["fleet"]["quarantined"]:
+                    assert time.monotonic() < deadline, "never quarantined"
+                    time.sleep(0.01)
+            finally:
+                watcher.close()
+            proc = spawn_worker(broker.address, "banned")
             assert proc.wait(timeout=30) == WORKER_REJECTED_EXIT
-        finally:
-            transport.close()
 
 
 # ----------------------------------------------------------------------
 # CLI plumbing
 # ----------------------------------------------------------------------
 class TestTransportCli:
-    def test_campaign_rejects_workers_with_socket(self):
+    def test_campaign_rejects_workers_with_queue(self):
         from repro.tools import explore
 
         with pytest.raises(SystemExit):
             explore.main(
-                ["campaign", "--transport", "socket", "--workers", "2"]
+                ["campaign", "--transport", "queue", "--workers", "2"]
             )
 
     def test_campaign_rejects_unknown_traces(self):
@@ -527,21 +375,21 @@ class TestTransportCli:
             explore.main(["campaign", "--apps", "url", "--traces", "Nowhere"])
 
     def test_worker_requires_exactly_one_connection(self):
+        """The one connection is ``--connect-broker``; the removed
+        coordinator flag is rejected, never read as an abbreviation."""
         from repro.tools import explore
 
         with pytest.raises(SystemExit):
             explore.main(["worker"])
-        with pytest.raises(SystemExit):
-            explore.main(
-                ["worker", "--connect", "h:1", "--connect-broker", "h:2"]
-            )
+        with pytest.raises(SystemExit):  # the coordinator flag is gone
+            explore.main(["worker", "--connect", "127.0.0.1:1"])
 
     def test_worker_rejects_bad_fail_after(self):
         from repro.tools import explore
 
         with pytest.raises(SystemExit):
             explore.main(
-                ["worker", "--connect", "127.0.0.1:1", "--fail-after", "0"]
+                ["worker", "--connect-broker", "127.0.0.1:1", "--fail-after", "0"]
             )
 
     def test_worker_gives_up_with_nonzero_exit_and_last_error(self, capsys):
@@ -556,7 +404,7 @@ class TestTransportCli:
         code = explore.main(
             [
                 "worker",
-                "--connect",
+                "--connect-broker",
                 f"127.0.0.1:{free_port}",
                 "--retry",
                 "0.2",
@@ -579,7 +427,7 @@ class TestTransportCli:
                 "-m",
                 "repro.tools.explore",
                 "worker",
-                "--connect",
+                "--connect-broker",
                 f"127.0.0.1:{free_port}",
                 "--retry",
                 "0.2",
